@@ -400,8 +400,7 @@ void print_skew() {
               << "\n";
     const serve::EngineStats& steal_stats = runs[2].stats;
     std::cout << "steal telemetry (90/10 + steal): stolen " << steal_stats.stolen
-              << " (same-node " << steal_stats.stolen_same_node << ", cross-node "
-              << steal_stats.stolen_cross_node << "); per-victim-shard [";
+              << "; per-victim-shard [";
     for (std::size_t s = 0; s < steal_stats.shard_stolen.size(); ++s) {
         std::cout << (s == 0 ? "" : ", ") << steal_stats.shard_stolen[s];
     }

@@ -154,38 +154,6 @@ struct TypePlan {
     /// compile()/patched(); an empty type has an empty-but-consistent tier).
     [[nodiscard]] bool has_q8() const noexcept { return q8.size() == values.size(); }
 
-    /// One contiguous payload allocation of this plan (address + bytes).
-    /// See payload_regions().
-    struct PayloadRegion {
-        const void* data = nullptr;
-        std::size_t bytes = 0;
-    };
-
-    /// The payload allocations a retrieval streams, one region per backing
-    /// vector: exact-tier values + present_mask, and the Q8 tier's codes +
-    /// per-block scale/error columns.  Empty regions (empty type) are
-    /// omitted.  This is the placement hook for the serve layer's NUMA
-    /// binding: the engine can ask "which pages does scanning this plan
-    /// touch" without core knowing anything about nodes or mbind — and a
-    /// caller that never asks pays nothing.  Row/column metadata vectors
-    /// are deliberately excluded: they are touched once per request, not
-    /// streamed per row, so their placement is noise.
-    [[nodiscard]] std::vector<PayloadRegion> payload_regions() const {
-        std::vector<PayloadRegion> regions;
-        regions.reserve(5);
-        const auto add = [&regions](const void* data, std::size_t bytes) {
-            if (data != nullptr && bytes > 0) {
-                regions.push_back(PayloadRegion{data, bytes});
-            }
-        };
-        add(values.data(), values.size() * sizeof(AttrValue));
-        add(present_mask.data(), present_mask.size() * sizeof(std::uint16_t));
-        add(q8.data(), q8.size() * sizeof(std::uint8_t));
-        add(q8_scale.data(), q8_scale.size() * sizeof(float));
-        add(q8_err.data(), q8_err.size() * sizeof(float));
-        return regions;
-    }
-
     /// Column index for an attribute id (binary search); npos when the id
     /// never occurs in this type.
     [[nodiscard]] std::size_t column_of(AttrId id) const noexcept;

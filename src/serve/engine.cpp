@@ -7,11 +7,15 @@
 #include <utility>
 
 #include "util/contracts.hpp"
-#include "util/numa.hpp"
 
 namespace qfa::serve {
 
 namespace {
+
+/// How long an idle stealing worker parks on its own queue between victim
+/// scans.  Bounds steal latency from one side and scan overhead from the
+/// other; a home push wakes the park early.
+constexpr std::chrono::microseconds kStealPark{200};
 
 /// The exception a submission resolves to when the engine stopped first.
 std::exception_ptr engine_stopped() {
@@ -37,36 +41,9 @@ Engine::Engine(cbr::CaseBase initial, EngineConfig config)
     QFA_EXPECTS(config.shard_count >= 1, "engine needs at least one shard");
     QFA_EXPECTS(config.queue_capacity >= 1, "engine needs a positive queue capacity");
     QFA_EXPECTS(steal_.min_victim_depth >= 1, "a steal victim needs at least one job");
-    // NUMA placement is advisory end to end: `numa_live_` only decides
-    // whether the shim is asked, never what any retrieval computes.  The
-    // shard→node map exists (all zeros) even when placement is off so the
-    // steal path and stats() never branch on support.
-    numa_live_ = config.numa && util::numa::supported();
-    const std::size_t node_count = numa_live_ ? util::numa::node_count() : 1;
-    shard_node_.resize(config.shard_count, 0);
-    for (std::size_t i = 0; i < config.shard_count; ++i) {
-        shard_node_[i] = i % node_count;
-    }
-    // EDF mode hands the queue a deadline extractor; execute closures have
-    // no deadline and so always rank behind deadlined retrievals.
-    edf_ = config.edf;
-    BoundedMpmcQueue<Job>::DeadlineFn deadline_of;
-    if (config.edf) {
-        deadline_of = [](const Job& job) -> std::optional<std::chrono::steady_clock::time_point> {
-            const RetrieveJob* retrieval = std::get_if<RetrieveJob>(&job);
-            return retrieval == nullptr ? std::nullopt : retrieval->cls.deadline;
-        };
-    }
     shards_.reserve(config.shard_count);
     for (std::size_t i = 0; i < config.shard_count; ++i) {
-        shards_.push_back(std::make_unique<Shard>(config.queue_capacity, deadline_of));
-    }
-    // Place the initial catalogue's plan columns before any worker scans
-    // them (shard_node_ is final here, shards_ sizes shard_of's modulo).
-    if (numa_live_) {
-        for (const auto& plan : store_.load()->compiled.plans()) {
-            bind_plan_columns(*plan);
-        }
+        shards_.push_back(std::make_unique<Shard>(config.queue_capacity));
     }
     // Backend placement is resolved before any worker starts: workers
     // read shard_backend_ unsynchronized, so it must be final here.
@@ -126,11 +103,6 @@ void Engine::resolve_backends(const EngineConfig& config) {
 
 void Engine::worker_loop(std::size_t self) {
     Shard& shard = *shards_[self];
-    if (numa_live_) {
-        // Advisory affinity: a refused pin (cpuset restrictions, exotic
-        // topologies) costs locality, never correctness.
-        (void)util::numa::pin_thread_to_node(shard_node_[self]);
-    }
     // One scratch set per worker, one entry per backend this worker ever
     // scores through (cpu-simd's steady state allocates nothing beyond
     // returned matches; the image backends cache per-type artifacts
@@ -152,28 +124,15 @@ void Engine::worker_loop(std::size_t self) {
     // own backlog; shutdown() closes every queue before joining).
     for (;;) {
         std::optional<Job> job = shard.queue.try_pop();
-        if (job.has_value()) {
-            serve_job(shard, std::move(*job), scratch);
-            // Shallow-backlog assist: with a watermark set, a worker whose
-            // remaining depth is below it lends one service to the deepest
-            // qualifying sibling before returning to its own queue.
-            if (steal_.own_watermark == 0 ||
-                shard.queue.size() >= steal_.own_watermark) {
-                continue;
-            }
-            if (std::optional<Job> loot = try_steal(self)) {
-                serve_job(shard, std::move(*loot), scratch);
-            }
-            continue;
+        if (!job.has_value()) {
+            job = try_steal(self);
         }
-        if (std::optional<Job> loot = try_steal(self)) {
-            serve_job(shard, std::move(*loot), scratch);
-            continue;
+        if (!job.has_value()) {
+            // Dry everywhere: park on the own queue for one scan period.  A
+            // home push wakes this immediately; a sibling's backlog is
+            // caught by the next scan after the park expires.
+            job = shard.queue.pop_until(std::chrono::steady_clock::now() + kStealPark);
         }
-        // Dry everywhere: park on the own queue for one scan period.  A
-        // home push wakes this immediately; a sibling's backlog is caught
-        // by the next scan after the park expires.
-        job = shard.queue.pop_until(std::chrono::steady_clock::now() + steal_.park);
         if (job.has_value()) {
             serve_job(shard, std::move(*job), scratch);
             continue;
@@ -419,7 +378,6 @@ Engine::BreakerDecision Engine::breaker_admit(ShardBackend& home) {
             }
             // Cooldown over: half-open and fall through to the probe gate.
             breaker.state = Breaker::State::half_open;
-            breaker.probe_streak = 0;
             [[fallthrough]];
         case Breaker::State::half_open:
             if (breaker.probe_inflight) {
@@ -439,8 +397,7 @@ void Engine::breaker_on_success(ShardBackend& home, bool probing) {
     std::lock_guard lock(breaker.mutex);
     if (probing) {
         breaker.probe_inflight = false;
-        if (breaker.state == Breaker::State::half_open &&
-            ++breaker.probe_streak >= fault_.breaker_probe_successes) {
+        if (breaker.state == Breaker::State::half_open) {
             breaker.state = Breaker::State::closed;
             breaker.failures = 0;
             home.counters->breaker_closes.fetch_add(1, std::memory_order_release);
@@ -488,68 +445,40 @@ void Engine::breaker_probe_abort(ShardBackend& home) {
     breaker.probe_inflight = false;
 }
 
-std::size_t Engine::steal_slot(const std::deque<Job>& items) const {
-    // Mirror of the victim queue's own pop choice (BoundedMpmcQueue::pop /
-    // earliest_locked): FIFO takes the front; EDF takes the smallest
-    // extracted deadline, no-deadline items rank infinitely late, every
-    // tie breaks towards arrival order.  Stealing EXACTLY the pop slot is
-    // the no-bypass guarantee — a steal can never serve a job the home
-    // worker would not have served next, so no higher-priority or
-    // nearer-deadline job is overtaken on the victim shard.  When the pop
-    // slot is an execute closure the steal declines entirely (>= size):
-    // closures are pinned to their shard's thread, and taking a later
-    // retrieval instead WOULD be a bypass.
-    if (items.empty()) {
+std::size_t Engine::steal_slot(const std::deque<Job>& items) {
+    // The victim's own pop() serves the FIFO front, so stealing EXACTLY
+    // that slot is the no-bypass guarantee — a steal can never serve a
+    // job the home worker would not have served next.  When the front is
+    // an execute closure the steal declines entirely (>= size): closures
+    // are pinned to their shard's thread, and taking a later retrieval
+    // instead WOULD be a bypass.
+    if (items.empty() || !std::holds_alternative<RetrieveJob>(items.front())) {
         return items.size();
     }
-    std::size_t slot = 0;
-    if (edf_) {
-        std::optional<std::chrono::steady_clock::time_point> best;
-        if (const RetrieveJob* r = std::get_if<RetrieveJob>(&items[0])) {
-            best = r->cls.deadline;
-        }
-        for (std::size_t i = 1; i < items.size(); ++i) {
-            const RetrieveJob* r = std::get_if<RetrieveJob>(&items[i]);
-            const std::optional<std::chrono::steady_clock::time_point> deadline =
-                r == nullptr ? std::nullopt : r->cls.deadline;
-            if (deadline.has_value() && (!best.has_value() || *deadline < *best)) {
-                slot = i;
-                best = deadline;
-            }
-        }
-    }
-    return std::holds_alternative<RetrieveJob>(items[slot]) ? slot : items.size();
+    return 0;
 }
 
 std::optional<Engine::Job> Engine::try_steal(std::size_t thief) {
-    // Victim order: same-NUMA-node siblings before cross-node ones (a
-    // steal that stays on the node streams local plan columns; crossing
-    // the interconnect is the fallback, not the default), deepest backlog
-    // first within each group.  Depths are advisory snapshots — extract()
-    // re-decides under the victim's lock, so a raced-empty victim just
-    // declines and the scan moves on.
+    // Victim order: deepest backlog first.  Depths are advisory snapshots
+    // — extract() re-decides under the victim's lock, so a raced-empty
+    // victim just declines and the scan moves on.
     struct Candidate {
         std::size_t shard;
         std::size_t depth;
-        bool same_node;
     };
     std::vector<Candidate> candidates;
     candidates.reserve(shards_.size());
-    const std::size_t home_node = shard_node_[thief];
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (s == thief) {
             continue;
         }
         const std::size_t depth = shards_[s]->queue.size();
         if (depth >= steal_.min_victim_depth) {
-            candidates.push_back(Candidate{s, depth, shard_node_[s] == home_node});
+            candidates.push_back(Candidate{s, depth});
         }
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
-                  if (a.same_node != b.same_node) {
-                      return a.same_node;
-                  }
                   if (a.depth != b.depth) {
                       return a.depth > b.depth;
                   }
@@ -557,10 +486,7 @@ std::optional<Engine::Job> Engine::try_steal(std::size_t thief) {
               });
     for (const Candidate& candidate : candidates) {
         Shard& victim = *shards_[candidate.shard];
-        std::optional<Job> loot =
-            victim.queue.extract([this](const std::deque<Job>& items) {
-                return steal_slot(items);
-            });
+        std::optional<Job> loot = victim.queue.extract(steal_slot);
         if (!loot.has_value()) {
             continue;  // raced empty, or an execute closure holds the pop slot
         }
@@ -570,28 +496,9 @@ std::optional<Engine::Job> Engine::try_steal(std::size_t thief) {
         // a snapshot with this steal also has its submission, keeping
         // stolen <= served + backlog <= submitted coherent.
         victim.stolen.fetch_add(1, std::memory_order_release);
-        if (candidate.same_node) {
-            stolen_same_node_.fetch_add(1, std::memory_order_release);
-        } else {
-            stolen_cross_node_.fetch_add(1, std::memory_order_release);
-        }
         return loot;
     }
     return std::nullopt;
-}
-
-void Engine::bind_plan_columns(const cbr::TypePlan& plan) const {
-    if (!numa_live_) {
-        return;
-    }
-    // Home the payload columns with the worker that scans them.  Advisory
-    // mbind preference: failures (or pages already elsewhere) cost
-    // locality only.  Metadata vectors are skipped by payload_regions() —
-    // they are touched once per request, not streamed per row.
-    const std::size_t node = shard_node_[shard_of(plan.id)];
-    for (const cbr::TypePlan::PayloadRegion& region : plan.payload_regions()) {
-        (void)util::numa::bind_memory_to_node(region.data, region.bytes, node);
-    }
 }
 
 std::future<cbr::RetrievalResult> Engine::submit(cbr::Request request,
@@ -988,28 +895,14 @@ void Engine::publish_locked(cbr::TypeId changed) {
     std::uint64_t shared = 0;
     const auto& old_plans = previous->compiled.plans();
     const auto& new_plans = next->compiled.plans();
-    for (std::size_t o = 0, n = 0; o < old_plans.size() || n < new_plans.size();) {
-        if (o < old_plans.size() && n < new_plans.size() &&
-            old_plans[o]->id.value() == new_plans[n]->id.value()) {
-            if (old_plans[o] == new_plans[n]) {
-                ++shared;
-            } else {
-                // Spliced or cloned: fresh payload allocations — re-home
-                // them with the owning shard's node (no-op when NUMA off).
-                // Aliased plans keep their placement, so a publish costs
-                // mbind calls only for what actually changed.
-                bind_plan_columns(*new_plans[n]);
-            }
-            ++o;
-            ++n;
-        } else if (n >= new_plans.size() ||
-                   (o < old_plans.size() &&
-                    old_plans[o]->id.value() < new_plans[n]->id.value())) {
-            ++o;
-        } else {
-            bind_plan_columns(*new_plans[n]);  // newly added type
-            ++n;
+    for (std::size_t o = 0, n = 0; o < old_plans.size() && n < new_plans.size();) {
+        const auto old_id = old_plans[o]->id.value();
+        const auto new_id = new_plans[n]->id.value();
+        if (old_plans[o] == new_plans[n]) {
+            ++shared;
         }
+        o += old_id <= new_id ? 1 : 0;
+        n += new_id <= old_id ? 1 : 0;
     }
     // Published before shared (release), mirrored by stats() reading
     // shared (acquire) before published: any snapshot that includes an
@@ -1050,8 +943,6 @@ EngineStats Engine::stats() const {
     // Steal counters are completion-side too: acquired before `submitted`
     // so stolen <= submitted in any snapshot (a stolen job was submitted
     // before it could be extracted, ordered through the queue mutex).
-    stats.stolen_same_node = stolen_same_node_.load(std::memory_order_acquire);
-    stats.stolen_cross_node = stolen_cross_node_.load(std::memory_order_acquire);
     stats.shard_stolen.reserve(shards_.size());
     stats.shard_served.reserve(shards_.size());
     for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -1062,7 +953,6 @@ EngineStats Engine::stats() const {
         stats.shard_served.push_back(served);
         stats.served += served;
     }
-    stats.shard_node = shard_node_;
     // Backend slices are completion-side: acquired before `submitted` so
     // Σ backends.served <= submitted in any snapshot.  The map itself is
     // constructor-final — no lock needed.

@@ -18,6 +18,9 @@
 //  * Queueing.  Producers (application threads) push jobs into the target
 //    shard's bounded MPMC queue (serve/queue.hpp) and receive a
 //    std::future for the result; backpressure is by blocking at capacity.
+//    Every shard queue is FIFO: a deadline (serve/admission.hpp) is
+//    refused at admission when already infeasible and expired on dequeue
+//    once passed, but never reorders service.
 //  * Epochs.  The catalogue lives in a PlanStore (serve/generation.hpp).
 //    Workers pin the current Generation per job; retain()/revise() build
 //    the successor with an incremental plan patch and publish it with one
@@ -26,9 +29,7 @@
 //  * Stealing (opt-in, EngineConfig::steal).  A worker whose queue runs
 //    dry takes the exact job a backlogged sibling's pop() would serve
 //    next, epoch-pinned at service time — skew-proofing for Zipf-hot
-//    types.  NUMA placement (EngineConfig::numa + QFA_NUMA=ON) pins
-//    workers and their home shards' plan columns to one node and makes
-//    thieves prefer same-node victims.  See docs/ARCHITECTURE.md §3.
+//    types.  See docs/ARCHITECTURE.md §3.
 //
 // Bit-identity: a retrieval served by any shard at epoch E performs exactly
 // the floating-point / Q15 operations of the single-threaded
@@ -78,14 +79,14 @@ namespace qfa::serve {
 /// skew: TypeId sharding turns a Zipf-hot type into one hot worker while
 /// its siblings idle, so p999 under 90/10 skew is queue-depth-bound, not
 /// hardware-bound.  A thief only ever takes the EXACT job the victim's own
-/// pop() would serve next (FIFO front / earliest deadline under EDF), so a
-/// steal can never bypass a nearer-deadline or earlier-arrived job the
-/// home worker would have taken — it only moves that job to an idle core.
-/// Execute closures are never stolen (they are the run-on-*this*-shard
-/// primitive; moving one would change which thread runs it).
+/// pop() would serve next (the FIFO front), so a steal can never bypass an
+/// earlier-arrived job the home worker would have taken — it only moves
+/// that job to an idle core.  Execute closures are never stolen (they are
+/// the run-on-*this*-shard primitive; moving one would change which thread
+/// runs it).  A worker steals only when its own queue is dry.
 struct StealConfig {
-    /// Off by default: like `edf`, stealing changes only *when/where* a
-    /// queued job runs, never what it computes, but it relaxes execute()'s
+    /// Off by default: stealing changes only *when/where* a queued job
+    /// runs, never what it computes, but it relaxes execute()'s
     /// same-shard FIFO-interleave guarantee (a stolen retrieval may
     /// complete on another worker after an execute enqueued behind it), so
     /// it is opt-in.
@@ -94,14 +95,6 @@ struct StealConfig {
     /// the last queued job from a worker that is about to pop it anyway is
     /// churn, not balance.
     std::size_t min_victim_depth = 2;
-    /// 0 = steal only when the own queue is dry.  > 0: also lend a hand
-    /// after serving an own job whenever the remaining own depth is below
-    /// this watermark (the "shallow backlog, deep sibling" case).
-    std::size_t own_watermark = 0;
-    /// How long an idle worker parks on its own queue between victim
-    /// scans.  Bounds steal latency from one side and scan overhead from
-    /// the other; wakes early the instant home work arrives.
-    std::chrono::steady_clock::duration park = std::chrono::microseconds(200);
 };
 
 /// Fault-tolerance knobs (EngineConfig::fault): what the engine does when
@@ -121,9 +114,9 @@ struct StealConfig {
 /// backend that keeps failing: `breaker_threshold` consecutive failures
 /// open it (traffic goes straight to fallback, no scoring attempt), the
 /// next `breaker_cooldown` requests ride out the quarantine, then the
-/// breaker half-opens and probes with REAL requests — a probe success
-/// streak of `breaker_probe_successes` closes it, a probe failure reopens
-/// a full cooldown.  Every transition is counted in EngineStats.
+/// breaker half-opens and probes with REAL requests — one probe success
+/// closes it, a probe failure reopens a full cooldown.  Every transition
+/// is counted in EngineStats.
 struct FaultToleranceConfig {
     /// Retries per request for retryable failures before failover; the
     /// first attempt is not a retry.  0 = fail over immediately.
@@ -138,8 +131,6 @@ struct FaultToleranceConfig {
     /// Requests routed straight to fallback while open before the breaker
     /// half-opens and probes.
     std::size_t breaker_cooldown = 64;
-    /// Consecutive probe successes that close a half-open breaker.
-    std::size_t breaker_probe_successes = 1;
     /// poll() attempts per submit before the silence becomes a `timeout`
     /// failure (stuck-ticket guard).  0 = unbounded — then only engine
     /// shutdown interrupts a ticket that never completes.
@@ -151,21 +142,7 @@ struct EngineConfig {
     std::size_t shard_count = 4;      ///< worker threads / plan partitions
     std::size_t queue_capacity = 1024;  ///< per-shard backlog bound
     AdmissionConfig admission;        ///< overload knobs for the try_submit path
-    /// Opt-in earliest-deadline-first dequeue per shard.  Changes only
-    /// *when* a queued job is served, never what it computes — each
-    /// completed retrieval stays bit-identical to FIFO's result for the
-    /// same request — but it relaxes execute()'s FIFO-interleaving
-    /// guarantee, so it is off by default.
-    bool edf = false;
     StealConfig steal;                ///< skew answer: epoch-pinned work stealing
-    /// Opt-in NUMA placement (needs a QFA_NUMA=ON Linux build to do
-    /// anything; advisory everywhere — see util/numa.hpp).  When live:
-    /// shard i's worker is pinned to node i % node_count, the plan payload
-    /// columns of the types shard i owns are mbind-preferred onto that
-    /// same node (exact + present-mask + Q8 tiers, re-applied per
-    /// published epoch for changed plans), and steals prefer same-node
-    /// victims before crossing the interconnect.
-    bool numa = false;
     /// Retrieval backend every shard scores through, by registry name
     /// (src/backend: "cpu-simd", "mblaze", "device").  Empty = the
     /// registry default (the QFA_BACKEND environment variable when it
@@ -263,22 +240,13 @@ struct EngineStats {
     // each steal to the HOME (victim) shard s it was taken from — keyed by
     // shard_of, which is stable across runs and engine instances of equal
     // shard count, so victim profiles are comparable across processes.
-    // The same-/cross-node split shows whether NUMA-preferring victim
-    // order is holding (all-same-node on a single-node host); in a
-    // mid-flight snapshot `stolen_same_node + stolen_cross_node` may LAG
-    // `stolen` (the per-shard counter is bumped first and read last) but
-    // never exceeds it — the three agree exactly once steals quiesce.
-    // Stolen jobs
-    // participate in the usual coherence: a stolen job is counted in
-    // `served` (and `shard_served`) by its EXECUTING worker, and both
-    // stolen counters are read acquire before `submitted`, so
-    // stolen <= served <= submitted holds in any snapshot.
+    // `stolen` is Σ shard_stolen.  Stolen jobs participate in the usual
+    // coherence: a stolen job is counted in `served` (and `shard_served`)
+    // by its EXECUTING worker, and the per-shard stolen counters are read
+    // acquire before `submitted`, so stolen <= served <= submitted holds
+    // in any snapshot.
     std::uint64_t stolen = 0;            ///< jobs served off their home shard
-    std::uint64_t stolen_same_node = 0;  ///< thief and victim on one node
-    std::uint64_t stolen_cross_node = 0; ///< steal crossed the interconnect
     std::vector<std::uint64_t> shard_stolen;  ///< steals per HOME (victim) shard
-    std::vector<std::size_t> shard_node;      ///< NUMA node per shard (all 0
-                                              ///< when placement is off)
     std::vector<std::uint64_t> shard_served;  ///< per-shard completion counts
     std::map<TenantId, TenantStats> tenants;  ///< per-tenant outcome slices
     /// Per-backend outcome slices, one entry per registered backend (all
@@ -489,7 +457,6 @@ private:
         State state = State::closed;
         std::size_t failures = 0;       ///< consecutive attempt failures (closed)
         std::size_t cooldown_left = 0;  ///< fallback-routed requests until half-open
-        std::size_t probe_streak = 0;   ///< consecutive probe successes (half-open)
         bool probe_inflight = false;    ///< one real-request probe at a time
     };
 
@@ -555,8 +522,7 @@ private:
     using Job = std::variant<RetrieveJob, ExecuteJob>;
 
     struct Shard {
-        Shard(std::size_t capacity, BoundedMpmcQueue<Job>::DeadlineFn deadline_of)
-            : queue(capacity, std::move(deadline_of)) {}
+        explicit Shard(std::size_t capacity) : queue(capacity) {}
         BoundedMpmcQueue<Job> queue;
         std::thread worker;
         std::atomic<std::uint64_t> served{0};  ///< completions BY this worker
@@ -612,23 +578,18 @@ private:
     /// reached scoring: a capability decline, or shutdown).
     void breaker_probe_abort(ShardBackend& home);
 
-    /// One steal attempt by worker `thief`: scans sibling queues (same
-    /// NUMA node first, then cross-node; deepest backlog first within each
-    /// group), skips victims below steal_.min_victim_depth, and extracts
-    /// exactly the job the victim's pop() would serve next — declining
-    /// (and moving to the next victim) when that job is an execute
-    /// closure.  Books the steal telemetry on success.
+    /// One steal attempt by worker `thief`: scans sibling queues deepest
+    /// backlog first (ties by shard index), skips victims below
+    /// steal_.min_victim_depth, and extracts exactly the job the victim's
+    /// pop() would serve next — declining (and moving to the next victim)
+    /// when that job is an execute closure.  Books the steal telemetry on
+    /// success.
     std::optional<Job> try_steal(std::size_t thief);
 
-    /// Index of the job `queue`'s own pop() would serve next, or >= size
-    /// when it is an ExecuteJob / the queue is empty — the extract()
-    /// selector of the steal path (mirrors the queue's FIFO/EDF choice).
-    std::size_t steal_slot(const std::deque<Job>& items) const;
-
-    /// Applies NUMA placement for `plan`'s payload columns: prefers the
-    /// node of the shard that owns the plan's type.  No-op unless
-    /// placement is live (config.numa on a supported build/host).
-    void bind_plan_columns(const cbr::TypePlan& plan) const;
+    /// The extract() selector of the steal path: 0 (the FIFO front the
+    /// victim's pop() would serve next) when that job is a retrieval,
+    /// else items.size() — declining an ExecuteJob front or empty queue.
+    static std::size_t steal_slot(const std::deque<Job>& items);
 
     /// Feeds shard-grouped jobs with one push_all per shard; jobs refused
     /// by a closed queue resolve their promises to the shut-down error.
@@ -672,11 +633,6 @@ private:
     AdmissionConfig admission_;
     StealConfig steal_;
     FaultToleranceConfig fault_;
-    bool edf_ = false;  ///< steal_slot mirrors the queue's EDF choice
-    bool numa_live_ = false;            ///< config.numa && util::numa::supported()
-    std::vector<std::size_t> shard_node_;  ///< NUMA node per shard (all 0 when off)
-    std::atomic<std::uint64_t> stolen_same_node_{0};
-    std::atomic<std::uint64_t> stolen_cross_node_{0};
     mutable std::mutex writer_mutex_;
     std::mutex shutdown_mutex_;
     mutable std::mutex tenant_mutex_;  ///< guards tenants_ (the map, not the counters)

@@ -13,13 +13,8 @@
 // (try_push_status) — the §3 "reject requests the platform cannot serve"
 // analogue under overload.
 //
-// Ordering.  The default discipline is FIFO.  A queue constructed with a
-// deadline extractor instead pops earliest-deadline-first (EDF): the item
-// whose extracted deadline is smallest is served next; items without a
-// deadline rank as infinitely late, and all ties (including every
-// no-deadline item) break towards arrival order.  EDF only reorders *when*
-// an item is popped, never what it contains — consumers that compute pure
-// functions of the items produce the same per-item results either way.
+// Ordering is FIFO: every pop serves the oldest item.  Only extract()
+// removes an item out of arrival order (the engine's load shedder).
 //
 // Thread safety: every member is safe to call from any number of producer
 // and consumer threads concurrently.  close() wakes all waiters; items
@@ -31,7 +26,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -52,16 +46,7 @@ enum class PushStatus : std::uint8_t {
 template <typename T>
 class BoundedMpmcQueue {
 public:
-    /// Optional EDF hook: extracts an item's deadline (nullopt = none —
-    /// ranks after every deadlined item, in arrival order).
-    using DeadlineFn =
-        std::function<std::optional<std::chrono::steady_clock::time_point>(const T&)>;
-
-    /// FIFO by default; passing a deadline extractor makes the queue
-    /// EDF-ordered — pop() serves the earliest extracted deadline first
-    /// (see the header comment for the tie rules).
-    explicit BoundedMpmcQueue(std::size_t capacity, DeadlineFn deadline_of = nullptr)
-        : capacity_(capacity), deadline_of_(std::move(deadline_of)) {
+    explicit BoundedMpmcQueue(std::size_t capacity) : capacity_(capacity) {
         QFA_EXPECTS(capacity >= 1, "queue capacity must be at least 1");
     }
 
@@ -180,40 +165,27 @@ public:
     }
 
     /// Blocks while the queue is empty; nullopt once closed *and* drained.
-    /// FIFO queues serve arrival order; EDF queues serve the earliest
-    /// extracted deadline (header comment).
     std::optional<T> pop() {
         std::unique_lock lock(mutex_);
         not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
         if (items_.empty()) {
             return std::nullopt;  // closed and fully drained
         }
-        const std::size_t slot = deadline_of_ == nullptr ? 0 : earliest_locked();
-        T item = std::move(items_[slot]);
-        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(slot));
-        lock.unlock();
-        not_full_.notify_one();
-        return item;
+        return take_front(lock);
     }
 
-    /// Non-blocking pop: the item pop() would serve next (FIFO front, or
-    /// the earliest deadline in EDF mode), or nullopt when the queue is
-    /// empty — whether or not it is closed.  Wake discipline matches
-    /// pop(): a successful try_pop frees a slot and wakes one not_full_
-    /// waiter, so a work-stealing consumer draining through try_pop can
-    /// never strand a producer blocked at capacity or an admission layer
-    /// parked in wait_below.
+    /// Non-blocking pop: the item pop() would serve next, or nullopt when
+    /// the queue is empty — whether or not it is closed.  Wake discipline
+    /// matches pop(): a successful try_pop frees a slot and wakes one
+    /// not_full_ waiter, so a work-stealing consumer draining through
+    /// try_pop can never strand a producer blocked at capacity or an
+    /// admission layer parked in wait_below.
     std::optional<T> try_pop() {
         std::unique_lock lock(mutex_);
         if (items_.empty()) {
             return std::nullopt;
         }
-        const std::size_t slot = deadline_of_ == nullptr ? 0 : earliest_locked();
-        T item = std::move(items_[slot]);
-        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(slot));
-        lock.unlock();
-        not_full_.notify_one();
-        return item;
+        return take_front(lock);
     }
 
     /// Deadline-bounded pop: blocks while the queue is empty, but only
@@ -229,12 +201,7 @@ public:
         if (items_.empty()) {
             return std::nullopt;  // timed out, or closed and fully drained
         }
-        const std::size_t slot = deadline_of_ == nullptr ? 0 : earliest_locked();
-        T item = std::move(items_[slot]);
-        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(slot));
-        lock.unlock();
-        not_full_.notify_one();
-        return item;
+        return take_front(lock);
     }
 
     /// Removes and returns the queued item `select` picks, or nullopt when
@@ -289,23 +256,14 @@ public:
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
 private:
-    /// Index of the earliest-deadline item (EDF mode).  Caller holds the
-    /// lock; items_ is non-empty.  No-deadline items rank infinitely late;
-    /// all ties break towards the smaller index (arrival order).
-    [[nodiscard]] std::size_t earliest_locked() const {
-        std::size_t best = 0;
-        std::optional<std::chrono::steady_clock::time_point> best_deadline =
-            deadline_of_(items_[0]);
-        for (std::size_t i = 1; i < items_.size(); ++i) {
-            const std::optional<std::chrono::steady_clock::time_point> deadline =
-                deadline_of_(items_[i]);
-            if (deadline.has_value() &&
-                (!best_deadline.has_value() || *deadline < *best_deadline)) {
-                best = i;
-                best_deadline = deadline;
-            }
-        }
-        return best;
+    /// Removes the front item, releases `lock` and wakes one producer
+    /// blocked at capacity.  Caller holds `lock` over a non-empty queue.
+    T take_front(std::unique_lock<std::mutex>& lock) {
+        T item = std::move(items_.front());
+        items_.pop_front();
+        lock.unlock();
+        not_full_.notify_one();
+        return item;
     }
 
     mutable std::mutex mutex_;
@@ -313,7 +271,6 @@ private:
     std::condition_variable not_full_;
     std::deque<T> items_;
     std::size_t capacity_;
-    DeadlineFn deadline_of_;  ///< nullptr = FIFO; set = EDF ordering
     bool closed_ = false;
 };
 

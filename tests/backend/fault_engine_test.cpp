@@ -140,7 +140,6 @@ TEST(FaultEngine, BreakerOpensCoolsProbesAndCloses) {
     config.fault.backoff_base = {};
     config.fault.breaker_threshold = 3;
     config.fault.breaker_cooldown = 4;
-    config.fault.breaker_probe_successes = 1;
     Engine engine(scenario.cb, config);
 
     const cbr::Retriever reference(scenario.cb, scenario.bounds);
@@ -180,7 +179,6 @@ TEST(FaultEngine, FailedProbeReopensFullCooldown) {
     config.fault.backoff_base = {};
     config.fault.breaker_threshold = 3;
     config.fault.breaker_cooldown = 4;
-    config.fault.breaker_probe_successes = 1;
     Engine engine(scenario.cb, config);
 
     for (std::size_t i = 0; i < 16; ++i) {
@@ -354,7 +352,7 @@ TEST(FaultEngine, ShutdownResolvesAForeverStuckTicket) {
     }
 }
 
-/// Chaos x everything: the overload pipeline (tiny queues, EDF, stealing,
+/// Chaos x everything: the overload pipeline (tiny FIFO queues, stealing,
 /// shed_lowest, tight deadlines), concurrent retain publishes, AND a
 /// fault-injecting backend with retries and a live breaker — under TSan this
 /// exercises breaker-mutex vs thief crossfire and retry vs shed.  The
@@ -385,10 +383,8 @@ TEST(FaultEngine, ChaosStressKeepsOutcomeIdentityUnderFaults) {
     EngineConfig engine_config;
     engine_config.shard_count = 4;
     engine_config.queue_capacity = 8;
-    engine_config.edf = true;
     engine_config.steal.enabled = true;
     engine_config.steal.min_victim_depth = 1;
-    engine_config.steal.own_watermark = 2;
     engine_config.admission.policy = AdmissionPolicy::shed_lowest;
     engine_config.backend = name;
     engine_config.fault.max_retries = 1;

@@ -352,46 +352,6 @@ TEST(BoundedMpmcQueueTest, DepthObserversStayCoherentUnderConcurrentTraffic) {
     }
 }
 
-// --- EDF ordering ---
-
-namespace edf {
-struct Item {
-    int id = 0;
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-};
-}  // namespace edf
-
-TEST(BoundedMpmcQueueTest, EdfPopsEarliestDeadlineFirst) {
-    BoundedMpmcQueue<edf::Item> queue(
-        8, [](const edf::Item& item) { return item.deadline; });
-    const auto base = std::chrono::steady_clock::now();
-    ASSERT_TRUE(queue.try_push({1, base + std::chrono::seconds(3)}));
-    ASSERT_TRUE(queue.try_push({2, std::nullopt}));
-    ASSERT_TRUE(queue.try_push({3, base + std::chrono::seconds(1)}));
-    ASSERT_TRUE(queue.try_push({4, base + std::chrono::seconds(2)}));
-    ASSERT_TRUE(queue.try_push({5, std::nullopt}));
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i) {
-        const auto item = queue.pop();
-        ASSERT_TRUE(item.has_value());
-        order.push_back(item->id);
-    }
-    // Deadlined items by deadline, then no-deadline items in arrival order.
-    EXPECT_EQ(order, (std::vector<int>{3, 4, 1, 2, 5}));
-}
-
-TEST(BoundedMpmcQueueTest, EdfBreaksDeadlineTiesByArrivalOrder) {
-    BoundedMpmcQueue<edf::Item> queue(
-        4, [](const edf::Item& item) { return item.deadline; });
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
-    ASSERT_TRUE(queue.try_push({10, deadline}));
-    ASSERT_TRUE(queue.try_push({11, deadline}));
-    ASSERT_TRUE(queue.try_push({12, deadline}));
-    EXPECT_EQ(queue.pop()->id, 10);
-    EXPECT_EQ(queue.pop()->id, 11);
-    EXPECT_EQ(queue.pop()->id, 12);
-}
-
 // --- extract(): the shedder's victim-removal primitive ---
 
 TEST(BoundedMpmcQueueTest, ExtractRemovesSelectedItemAndFreesASlot) {
@@ -507,19 +467,6 @@ TEST(BoundedMpmcQueueTest, TryPopServesFifoFrontAndReportsEmpty) {
     EXPECT_EQ(queue.try_pop(), std::nullopt);
     queue.close();
     EXPECT_EQ(queue.try_pop(), std::nullopt);  // empty + closed, no block
-}
-
-TEST(BoundedMpmcQueueTest, TryPopServesEarliestDeadlineInEdfMode) {
-    BoundedMpmcQueue<edf::Item> queue(
-        4, [](const edf::Item& item) { return item.deadline; });
-    const auto base = std::chrono::steady_clock::now();
-    ASSERT_TRUE(queue.try_push({1, base + std::chrono::seconds(3)}));
-    ASSERT_TRUE(queue.try_push({2, std::nullopt}));
-    ASSERT_TRUE(queue.try_push({3, base + std::chrono::seconds(1)}));
-    // try_pop must mirror pop()'s EDF choice, not fall back to FIFO.
-    EXPECT_EQ(queue.try_pop()->id, 3);
-    EXPECT_EQ(queue.try_pop()->id, 1);
-    EXPECT_EQ(queue.try_pop()->id, 2);
 }
 
 TEST(BoundedMpmcQueueTest, TryPopWakesABlockedProducer) {

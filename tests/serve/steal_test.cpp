@@ -1,8 +1,8 @@
 // Work-stealing semantics (EngineConfig::steal): a thief serves exactly
 // the job the backlogged victim's own pop() would serve next, epoch-pinned
 // at service time — so stolen results are bit-identical to home-shard
-// execution, execute closures never migrate, EDF steal order matches the
-// victim's own deadline order, and the steal telemetry stays coherent.
+// execution, execute closures never migrate, and the steal telemetry stays
+// coherent.
 //
 // Determinism recipe: the victim shard's worker is parked inside an
 // execute() closure on a latch, so its queued retrievals can ONLY complete
@@ -13,11 +13,10 @@
 // final future.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -111,8 +110,11 @@ TEST(StealTest, ParkedVictimsBacklogIsFullyServedByThieves) {
     ASSERT_EQ(stats.shard_stolen.size(), fx.engine.shard_count());
     // Steals are attributed to the HOME (victim) shard they were taken from.
     EXPECT_EQ(stats.shard_stolen[fx.victim], stats.stolen);
-    EXPECT_EQ(stats.stolen_same_node + stats.stolen_cross_node, stats.stolen);
-    ASSERT_EQ(stats.shard_node.size(), fx.engine.shard_count());
+    std::uint64_t per_victim = 0;
+    for (const std::uint64_t s : stats.shard_stolen) {
+        per_victim += s;
+    }
+    EXPECT_EQ(per_victim, stats.stolen);
     // Coherence: stolen jobs are served by their executing worker.
     EXPECT_LE(stats.stolen, stats.served);
     EXPECT_LE(stats.served, stats.submitted);
@@ -161,61 +163,6 @@ TEST(StealTest, ExecuteClosuresAreNeverStolenAndNeverBypassed) {
     for (std::future<cbr::RetrievalResult>& f : futures) {
         (void)f.get();
     }
-}
-
-TEST(StealTest, EdfStealServesTheVictimsNearestDeadlineFirst) {
-    EngineConfig config;
-    config.shard_count = 2;
-    config.queue_capacity = 64;
-    config.edf = true;
-    config.steal.enabled = true;
-    config.steal.min_victim_depth = 1;
-    StealFixture fx(config);
-
-    std::promise<void> latch;
-    std::shared_future<void> gate = latch.get_future().share();
-    // Wait for the victim to actually enter the park closure before the
-    // batch lands: the queue must hold retrievals only (in EDF mode the
-    // no-deadline execute ranks LAST, so a not-yet-parked victim would
-    // start serving the retrievals itself and the steal count below would
-    // be scheduling-dependent).
-    std::promise<void> entered;
-    std::future<void> parked = fx.engine.execute(fx.victim, [gate, &entered] {
-        entered.set_value();
-        gate.wait();
-    });
-    entered.get_future().get();
-
-    const std::vector<cbr::Request> requests = fx.victim_requests(3, 0xD1CE);
-    ASSERT_EQ(requests.size(), 3u);
-    // Deadlines far in the future (nothing expires), submitted in REVERSE
-    // deadline order in ONE atomic batch (one push_all): arrival order and
-    // deadline order disagree, so FIFO stealing would fail this test.
-    const auto base = std::chrono::steady_clock::now() + std::chrono::hours(1);
-    std::array<std::chrono::steady_clock::time_point, 3> completed_at{};
-    std::vector<JobClass> classes(3);
-    for (std::size_t i = 0; i < 3; ++i) {
-        classes[i].deadline = base + std::chrono::hours(3 - i);  // descending
-        classes[i].completed_at = &completed_at[i];
-    }
-    cbr::RetrievalOptions options;
-    std::vector<std::future<cbr::RetrievalResult>> futures = fx.engine.submit_batch(
-        std::span<const cbr::Request>(requests),
-        std::span<const cbr::RetrievalOptions>(&options, 1),
-        std::span<const JobClass>(classes));
-    for (std::future<cbr::RetrievalResult>& f : futures) {
-        (void)f.get();
-    }
-    // One thief drains the parked victim's queue sequentially, so the
-    // completion stamps are totally ordered; EDF stealing must serve the
-    // nearest deadline (index 2) first and the farthest (index 0) last —
-    // a stolen EDF job never overtakes a nearer-deadline sibling.
-    EXPECT_EQ(fx.engine.stats().stolen, 3u);
-    EXPECT_LT(completed_at[2], completed_at[1]);
-    EXPECT_LT(completed_at[1], completed_at[0]);
-
-    latch.set_value();
-    parked.get();
 }
 
 TEST(StealTest, ShardOfIsStableAcrossEngineInstances) {

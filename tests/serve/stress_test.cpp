@@ -295,8 +295,8 @@ TEST(ServeStressTest, StealVsRetainVsShedStaysCoherent) {
     // threads hammer try_submit with mixed priorities and tight deadlines
     // against tiny queues (rejection + expiry + shed_lowest all live), a
     // writer publishes patched epochs via retain, thieves drain whatever
-    // backlog the scheduler piles up (EDF steal slot + own_watermark
-    // assist path included), and a poller reads stats() throughout — TSan
+    // backlog the scheduler piles up, and a poller reads stats() throughout
+    // — TSan
     // fodder for steal-vs-retain (epoch pin at the thief's dequeue vs
     // concurrent publication) and steal-vs-shed (extract() crossfire on
     // one queue).  Coherence pins: every admitted future resolves exactly
@@ -321,10 +321,8 @@ TEST(ServeStressTest, StealVsRetainVsShedStaysCoherent) {
     EngineConfig engine_config;
     engine_config.shard_count = 4;
     engine_config.queue_capacity = 8;  // tiny: overload is the steady state
-    engine_config.edf = true;          // EDF steal_slot under the hammer
     engine_config.steal.enabled = true;
     engine_config.steal.min_victim_depth = 1;
-    engine_config.steal.own_watermark = 2;  // the lend-a-hand assist path
     engine_config.admission.policy = AdmissionPolicy::shed_lowest;
     Engine engine(catalog.case_base, engine_config);
 
@@ -393,10 +391,6 @@ TEST(ServeStressTest, StealVsRetainVsShedStaysCoherent) {
             const EngineStats stats = engine.stats();
             ASSERT_LE(stats.stolen, stats.served);
             ASSERT_LE(stats.served, stats.submitted);
-            // Mid-flight the node split may lag the per-shard counters
-            // (they are bumped shard-first, read node-first) but never
-            // lead them; exact equality holds only at quiescence.
-            ASSERT_LE(stats.stolen_same_node + stats.stolen_cross_node, stats.stolen);
             snapshots.fetch_add(1, std::memory_order_relaxed);
         }
     });
