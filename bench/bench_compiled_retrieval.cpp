@@ -12,16 +12,17 @@
 // implementations, and the SIMD column loops are >= 2x scalar at 1k/10k
 // on AVX2 hardware.
 //
-// A third table covers the Q8 two-phase route at 10k / 100k / 1M catalogue
-// implementations: approximate top-K over the block-quantized tier + exact
-// rescore, proven bit-identical to the exact scan per request before any
-// timing, with a bytes-scanned ledger whose acceptance is >= 4x less data
-// than the f64 scan at 100k+ implementations.
+// A third table covers the Q8 two-phase route at 1k / 10k / 100k / 1M
+// catalogue implementations: approximate top-K over the block-quantized
+// tier + exact rescore, proven bit-identical to the exact scan per request
+// before any timing, split per row into phase 1 and selection + rescore,
+// with a bytes-scanned ledger whose acceptance is >= 4x less data than the
+// f64 scan at 100k+ implementations.
 //
 // Every table self-checks bit-identity before timing: the compiled path
 // against the tree reference, and each compiled-in kernel table (SSE2 /
-// NEON / runtime-dispatched AVX2) against the scalar one, double and Q15 —
-// the bench exits 1 on the first diverging bit.
+// NEON / runtime-dispatched AVX2 and AVX-512) against the scalar one,
+// double and Q15 — the bench exits 1 on the first diverging bit.
 //
 // --json=PATH additionally writes the machine-readable table summary
 // (table name -> ns/op + speedup) CI's bench-smoke job archives as
@@ -173,21 +174,83 @@ void print_comparison() {
               << "x (acceptance: >= 5x)\n\n";
 }
 
+/// One request pre-lowered to kernel terms: exactly the per-column calls
+/// retrieve_compiled_into / score_q15_compiled issue after the merge-join,
+/// so the timed loop is the kernel datapath and nothing else.
+struct KernelTerm {
+    std::size_t column;
+    cbr::AttrValue value;
+    double weight;
+    std::uint16_t weight_q15;
+};
+
+std::vector<KernelTerm> lower_request(const cbr::TypePlan& plan, const cbr::Request& request,
+                                      cbr::RetrievalScratch& scratch) {
+    const auto constraints = request.constraints();
+    double sum = 0.0;
+    for (const auto& c : constraints) {
+        sum += c.weight;
+    }
+    scratch.norm_weights.resize(constraints.size());
+    for (std::size_t i = 0; i < constraints.size(); ++i) {
+        scratch.norm_weights[i] = constraints[i].weight / sum;
+    }
+    cbr::quantize_weights(scratch.norm_weights, scratch.q15_weights, scratch.quant);
+    plan.map_columns(constraints, scratch.columns);
+    std::vector<KernelTerm> terms;
+    for (std::size_t i = 0; i < constraints.size(); ++i) {
+        if (scratch.columns[i] == cbr::TypePlan::npos) {
+            continue;
+        }
+        terms.push_back(KernelTerm{scratch.columns[i], constraints[i].value,
+                                   scratch.norm_weights[i], scratch.q15_weights[i].raw()});
+    }
+    return terms;
+}
+
 // ---- Q8 two-phase retrieval vs the exact column scan -----------------------
+
+/// Phase 1 alone: the active table's Q8 manhattan kernel over every mapped
+/// column of one request, tiled 8 Q8 blocks (256 rows) at a time like
+/// the two-phase scorer's own sweep.  Selection and rescore are left out,
+/// so two-phase time minus this is what they cost.
+void phase1_sweep(const cbr::TypePlan& plan, std::span<const KernelTerm> terms,
+                  std::vector<double>& acc) {
+    const cbr::kern::KernelTable& kernels = cbr::kern::active_kernels();
+    const std::size_t stride = plan.row_stride;
+    const std::size_t blocks = plan.q8_blocks();
+    constexpr std::size_t kTileBlocks = 8;
+    acc.assign(stride, 0.0);
+    for (std::size_t b0 = 0; b0 < blocks; b0 += kTileBlocks) {
+        const std::size_t r0 = b0 * cbr::TypePlan::kQuantBlock;
+        const std::size_t len =
+            std::min(stride - r0, kTileBlocks * cbr::TypePlan::kQuantBlock);
+        for (const KernelTerm& t : terms) {
+            kernels.q8_manhattan(acc.data() + r0, plan.q8.data() + t.column * stride + r0,
+                                 plan.q8_scale.data() + t.column * blocks + b0, len, t.value,
+                                 plan.divisor[t.column], t.weight);
+        }
+    }
+    benchmark::DoNotOptimize(acc.data());
+}
 
 /// Self-checks then times retrieve_compiled with the two-phase Q8 stage on
 /// (default knobs) against the same entry point with it forced off, at
-/// 10k / 100k / 1M catalogue implementations (ImplId is 16-bit, so the
+/// 1k / 10k / 100k / 1M catalogue implementations (ImplId is 16-bit, so the
 /// larger shapes spread rows across types — each retrieval still scans one
-/// type's plan).  Alongside wall time it accounts *bytes scanned* per
-/// request — phase 1 streams 1 code byte/row plus 8 bytes of scale+err per
-/// 32-row block and phase 2 re-reads 4 B/row for the rescored survivors,
-/// against 4 B/row for the exact u16 scan and 8 B/row for the dense-f64
-/// framing the ROADMAP's >= 4x acceptance is stated against.
+/// type's plan).  Per scanned plan row it splits two-phase time into
+/// phase 1 alone (the Q8 kernel sweep) and the rest (pool selection, exact
+/// rescore, top-k), next to the exact scan's.  It also accounts *bytes
+/// scanned* per request — phase 1 streams 1 code byte/row plus 8 bytes of
+/// scale+err per 32-row block and phase 2 re-reads 4 B/row for the
+/// rescored survivors, against 4 B/row for the exact u16 scan and 8 B/row
+/// for the dense-f64 framing the ROADMAP's >= 4x acceptance is stated
+/// against.
 void print_two_phase() {
     std::cout << "=== Q8 two-phase retrieval vs exact column scan ===\n\n";
-    util::Table table({"impls", "exact ns/req", "2phase ns/req", "speedup",
-                       "rescored/req", "bytes x (u16)", "bytes x (f64)"});
+    util::Table table({"impls", "exact ns/req", "2phase ns/req", "speedup", "exact ns/row",
+                       "phase1 ns/row", "select+rescore ns/row", "rescored/req",
+                       "bytes x (u16)", "bytes x (f64)"});
     const cbr::RetrievalOptions options = bench_options();
 
     struct Size {
@@ -195,7 +258,7 @@ void print_two_phase() {
         std::size_t per_type;
         std::size_t requests;
     };
-    const Size sizes[] = {{1, 10000, 256}, {2, 50000, 64}, {16, 62500, 64}};
+    const Size sizes[] = {{1, 1000, 256}, {1, 10000, 256}, {2, 50000, 64}, {16, 62500, 64}};
     double f64_reduction_100k = 0.0;
     for (const Size& size : sizes) {
         const std::size_t impls = size.types * size.per_type;
@@ -233,6 +296,18 @@ void print_two_phase() {
             rescored += static_cast<double>(two_scratch.two_phase.rescored);
         }
 
+        std::vector<const cbr::TypePlan*> plans;
+        std::vector<std::vector<KernelTerm>> lowered;
+        for (const cbr::Request& request : s.requests) {
+            plans.push_back(compiled.find(request.type()));
+            lowered.push_back(lower_request(*plans.back(), request, exact_scratch));
+        }
+        std::vector<double> phase1_acc;
+        const double phase1_ns = ns_per_request(s.requests.size(), [&] {
+            for (std::size_t i = 0; i < plans.size(); ++i) {
+                phase1_sweep(*plans[i], lowered[i], phase1_acc);
+            }
+        });
         const double exact_ns = ns_per_request(s.requests.size(), [&] {
             for (const cbr::Request& request : s.requests) {
                 benchmark::DoNotOptimize(
@@ -255,9 +330,14 @@ void print_two_phase() {
                      exact_ns / two_ns);
         record_table("two_phase_bytes_f64_" + std::to_string(impls),
                      q8_bytes / static_cast<double>(s.requests.size()), reduction_f64);
+        const double rows = static_cast<double>(size.per_type);  // rows per scanned plan
+        record_table("two_phase_phase1_" + std::to_string(impls), phase1_ns,
+                     exact_ns / phase1_ns);
         table.add_row({std::to_string(impls), util::to_fixed(exact_ns, 1),
                        util::to_fixed(two_ns, 1),
                        util::to_fixed(exact_ns / two_ns, 2) + "x",
+                       util::to_fixed(exact_ns / rows, 2), util::to_fixed(phase1_ns / rows, 2),
+                       util::to_fixed((two_ns - phase1_ns) / rows, 2),
                        util::to_fixed(rescored / static_cast<double>(s.requests.size()), 1),
                        util::to_fixed(reduction_u16, 2) + "x",
                        util::to_fixed(reduction_f64, 2) + "x"});
@@ -268,6 +348,8 @@ void print_two_phase() {
                      "2phase = Q8 top-K scan (1 B/row/col + 8 B/block scale+err)\n"
                      "         + exact rescore of the survivors, bit-identical\n"
                      "         by the per-block error bound (widening cut);\n"
+                     "ns/row = per scanned plan row; phase1 = the Q8 kernel\n"
+                     "sweep alone, select+rescore = 2phase minus phase1;\n"
                      "bytes x = scanned-bytes reduction vs the u16 tier / vs a\n"
                      "dense f64 scan (8 B/row/col)")
               << "\n";
@@ -277,16 +359,6 @@ void print_two_phase() {
 }
 
 // ---- SIMD column kernels vs the scalar fallback ---------------------------
-
-/// One request pre-lowered to kernel terms: exactly the per-column calls
-/// retrieve_compiled_into / score_q15_compiled issue after the merge-join,
-/// so the timed loop is the kernel datapath and nothing else.
-struct KernelTerm {
-    std::size_t column;
-    cbr::AttrValue value;
-    double weight;
-    std::uint16_t weight_q15;
-};
 
 struct KernelWork {
     const cbr::TypePlan* plan = nullptr;
@@ -300,27 +372,7 @@ struct KernelWork {
         }
         cbr::RetrievalScratch scratch;
         for (const cbr::Request& request : s.requests) {
-            const auto constraints = request.constraints();
-            double sum = 0.0;
-            for (const auto& c : constraints) {
-                sum += c.weight;
-            }
-            scratch.norm_weights.resize(constraints.size());
-            for (std::size_t i = 0; i < constraints.size(); ++i) {
-                scratch.norm_weights[i] = constraints[i].weight / sum;
-            }
-            cbr::quantize_weights(scratch.norm_weights, scratch.q15_weights, scratch.quant);
-            plan->map_columns(constraints, scratch.columns);
-            std::vector<KernelTerm> terms;
-            for (std::size_t i = 0; i < constraints.size(); ++i) {
-                if (scratch.columns[i] == cbr::TypePlan::npos) {
-                    continue;
-                }
-                terms.push_back(KernelTerm{scratch.columns[i], constraints[i].value,
-                                           scratch.norm_weights[i],
-                                           scratch.q15_weights[i].raw()});
-            }
-            requests.push_back(std::move(terms));
+            requests.push_back(lower_request(*plan, request, scratch));
         }
     }
 

@@ -1,10 +1,11 @@
 // SIMD-dispatched column kernels of the compiled retrieval datapath.
 //
-// The three hot loops of core/retrieval.cpp — the double-precision
-// manhattan and squared-distance weighted accumulations of
-// retrieve_compiled_into and the Q15 AND-mask scoring loop of
-// score_q15_compiled — are pure vertical loops over one padded plan
-// column (core/compiled.hpp pads every column to TypePlan::kRowAlign
+// The hot loops of core/retrieval.cpp — the double-precision manhattan
+// and squared-distance weighted accumulations of retrieve_compiled_into,
+// their Q8 phase-1 counterparts, the per-block maxima the two-phase pool
+// selection prunes by, and the Q15 AND-mask scoring loop of
+// score_q15_compiled — each walk one padded plan column
+// (core/compiled.hpp pads every column to TypePlan::kRowAlign
 // rows, so the kernels never need a scalar tail).  Each kernel is
 // compiled once per instruction set from the single generic source
 // core/kernels.inl over the util/simd.hpp wrappers:
@@ -13,16 +14,20 @@
 //     the reference the bit-identity tests and bench self-checks compare
 //     against, and the QFA_SIMD=off escape hatch.
 //   * base_kernels()   — whatever ISA the translation unit's target flags
-//     select (SSE2 on baseline x86-64, NEON on AArch64, AVX2 under
-//     -march=native, scalar elsewhere).
+//     select (SSE2 on baseline x86-64, NEON on AArch64, AVX2 or AVX-512
+//     under -march=native, scalar elsewhere).
 //   * avx2_kernels()   — force-compiled with AVX2 codegen on x86 even in a
 //     baseline build (core/kernels_avx2.cpp gets per-source -mavx2);
 //     nullptr when the toolchain or QFA_SIMD=off ruled it out.
+//   * avx512_kernels() — 8 x f64 lanes, force-compiled the same way with
+//     -mavx512f -mavx512dq -mavx512bw -mavx512vl (core/kernels_avx512.cpp);
+//     nullptr when the toolchain or QFA_SIMD=off ruled it out.
 //
-// active_kernels() runtime-dispatches once per process: the AVX2 table
-// when the CPU reports AVX2, otherwise the base table (which is always
-// safe to execute — it was compiled with the same flags as the rest of
-// the binary).  With QFA_SIMD=off every table is the scalar one.
+// active_kernels() runtime-dispatches once per process: the AVX-512 table
+// when the CPU reports all four AVX-512 extensions, else the AVX2 table
+// when it reports AVX2, otherwise the base table (which is always safe to
+// execute — it was compiled with the same flags as the rest of the
+// binary).  With QFA_SIMD=off every table is the scalar one.
 //
 // Bit-identity contract: for identical inputs, every table produces
 // bitwise-equal accumulators (see util/simd.hpp for why vector width
@@ -50,7 +55,7 @@ inline constexpr std::size_t kQ8Block = 32;
 /// presence 0 (code 0 in the Q8 tier), so they accumulate exactly
 /// +0.0 / 0.
 struct KernelTable {
-    const char* isa;  ///< "avx2" / "sse2" / "neon" / "scalar"
+    const char* isa;  ///< "avx512" / "avx2" / "sse2" / "neon" / "scalar"
 
     /// acc[r] += weight * s_r with s_r = eq. (1) manhattan similarity of
     /// (request_value, values[r]) under `divisor` = 1 + dmax, AND-masked
@@ -91,6 +96,12 @@ struct KernelTable {
     void (*q8_squared)(double* acc, const std::uint8_t* codes, const float* scales,
                        std::size_t padded_rows, std::uint16_t request_value,
                        double divisor, double weight);
+
+    /// out[b] = max of acc over the rows of Q8 block b (the last block cut
+    /// at padded_rows): the maxima the two-phase pool selection prunes by.
+    /// Bit-identical across ISAs for accumulators free of NaN and −0.0,
+    /// which phase-1 scores always are.
+    void (*q8_block_max)(double* out, const double* acc, std::size_t padded_rows);
 };
 
 /// The always-available scalar reference table.
@@ -103,9 +114,14 @@ struct KernelTable {
 /// (non-x86 toolchain, or QFA_SIMD=off).
 [[nodiscard]] const KernelTable* avx2_kernels() noexcept;
 
+/// The force-compiled AVX-512 (F/DQ/BW/VL) table, or nullptr when it was
+/// not built (non-x86 toolchain, or QFA_SIMD=off).
+[[nodiscard]] const KernelTable* avx512_kernels() noexcept;
+
 /// Runtime-dispatched table the retrieval fast paths score through:
-/// AVX2 when both compiled in and reported by the CPU, else the base
-/// table; always the scalar table under QFA_SIMD=off.
+/// AVX-512, then AVX2, whichever is first both compiled in and reported by
+/// the CPU, else the base table; always the scalar table under
+/// QFA_SIMD=off.
 [[nodiscard]] const KernelTable& active_kernels() noexcept;
 
 /// Every distinct table available in this binary (scalar first).  The

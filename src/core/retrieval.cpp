@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "core/kernels.hpp"
 #include "fixed/reciprocal.hpp"
@@ -88,15 +89,16 @@ inline bool ranks_before(double sim_a, ImplId impl_a, double sim_b, ImplId impl_
 // or everything is rescored, which is trivially exact.
 //
 // Widening is organized around a candidate *pool* so it never repeats the
-// O(rows) selection scan: one bounded-heap pass picks the top `cap`
-// (≥ 8 K) rows and tracks the most optimistic row left outside; the pool
-// is then sorted once, a suffix-max of Ŝ + E is precomputed, and each
-// widening round just extends the rescored prefix — the rejected-side
-// bound for a prefix of length k is max(outside, suffix[k]), O(1) per
-// round.  Only when even the whole pool cannot prove the cut does the scan
-// rebuild with cap × 8 (geometric, so the degenerate all-ties case stays
-// O(rows · log) until the pool covers every row, where the check accepts
-// unconditionally — everything rescored is trivially exact).
+// O(rows) selection: the pool is the top `cap` (≥ 8 K) rows by (Ŝ desc,
+// row asc), found through a block-max threshold (see select_pool), along
+// with the most optimistic row left outside it.  The pool is sorted once,
+// a suffix-max of Ŝ + E is precomputed, and each widening round just
+// extends the rescored prefix — the rejected-side bound for a prefix of
+// length k is max(outside, suffix[k]), O(1) per round.  Only when even the
+// whole pool cannot prove the cut does the selection rerun with cap × 8
+// (geometric, so the degenerate all-ties case stays O(rows · log) until
+// the pool covers every row, where the check accepts unconditionally —
+// everything rescored is trivially exact).
 
 /// Absolute slack added to every per-block error bound: covers the FP
 /// rounding differences between the kernel's approximate accumulation and
@@ -142,6 +144,78 @@ double exact_row_score(const TypePlan& plan, std::size_t row,
     return std::clamp(acc, 0.0, 1.0);
 }
 
+/// Selects the top `cap` of `rows` phase-1 rows by `better` into `pool`
+/// (sorted by `better`) and returns the most optimistic row bound left
+/// outside it: max over outside rows x of approx[x] + block_err[x / 32],
+/// or −1 when every row is in the pool (bounds are ≥ 0).
+///
+/// Rather than rank every row, it prunes by Q8 block.  block_max[b] is
+/// the max Ŝ over block b, padding included — padded rows hold exactly
+/// +0.0, never above a real row.  Let τ = the cap-th largest block max.
+/// The cap blocks whose max is ≥ τ each hold a distinct real row ≥ τ, so at
+/// least cap rows rank above any row < τ: such rows can never be in the
+/// pool.  A block whose max is below τ is therefore outside as a whole, and
+/// its rows' largest bound is exactly blockmax + err: FP addition rounds
+/// monotonically, x ≤ y ⇒ fl(x + e) ≤ fl(y + e), so the max of the rounded
+/// row bounds is the rounded bound of the max row (the same argument folds
+/// a block's sub-τ rows through their max).  Only the ≈ cap blocks at or
+/// above τ are read row by row; their rows ≥ τ are the candidates, from
+/// which nth_element + sort pick the pool.  When cap ≥ the block count (a
+/// regrown pool) τ is −∞ and every row is a candidate.  The pool, its order
+/// and the outside bound are bitwise those of a full row-by-row top-cap
+/// scan.
+template <typename Better>
+double select_pool(std::span<const double> approx, std::span<const double> block_max,
+                   std::span<const double> block_err, std::size_t rows, std::size_t cap,
+                   const Better& better, std::vector<double>& tau_scratch,
+                   std::vector<std::uint32_t>& pool) {
+    constexpr std::size_t kBlock = TypePlan::kQuantBlock;
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
+    double tau = kNone;
+    if (cap < block_max.size()) {
+        tau_scratch.assign(block_max.begin(), block_max.end());
+        std::nth_element(tau_scratch.begin(),
+                         tau_scratch.begin() + static_cast<std::ptrdiff_t>(cap - 1),
+                         tau_scratch.end(), std::greater<double>());
+        tau = tau_scratch[cap - 1];
+    }
+    double outside_bound = -1.0;
+    std::size_t count = 0;
+    pool.clear();
+    for (std::size_t b = 0; b < block_max.size(); ++b) {
+        const double err = block_err[b];
+        if (block_max[b] < tau) {
+            outside_bound = std::max(outside_bound, block_max[b] + err);
+            continue;
+        }
+        // Branch-free split: every row is written, only rows ≥ τ advance
+        // the pool; the others reduce to their max (kNone when none).
+        const std::size_t first = b * kBlock;
+        const std::size_t end = std::min(rows, first + kBlock);
+        pool.resize(count + (end - first));
+        double below = kNone;
+        for (std::size_t r = first; r < end; ++r) {
+            const double a = approx[r];
+            const bool keep = a >= tau;
+            pool[count] = static_cast<std::uint32_t>(r);
+            count += keep ? 1 : 0;
+            below = std::max(below, keep ? kNone : a);
+        }
+        outside_bound = std::max(outside_bound, below + err);
+    }
+    pool.resize(count);
+    if (count > cap) {
+        const auto cut = pool.begin() + static_cast<std::ptrdiff_t>(cap);
+        std::nth_element(pool.begin(), cut, pool.end(), better);
+        for (auto it = cut; it != pool.end(); ++it) {
+            outside_bound = std::max(outside_bound, approx[*it] + block_err[*it / kBlock]);
+        }
+        pool.erase(cut, pool.end());
+    }
+    std::sort(pool.begin(), pool.end(), better);
+    return outside_bound;
+}
+
 /// The two-phase scorer of retrieve_compiled_into's fused path.  Returns
 /// true with scratch.survivors holding the candidate rows (ascending) and
 /// sims[] exactly scored at those rows — a proven superset of the rows any
@@ -180,6 +254,10 @@ bool two_phase_score(const TypePlan& plan, std::span<const RequestAttribute> con
     const kern::KernelTable& kernels = kern::active_kernels();
     const auto kernel = options.metric == LocalMetric::manhattan ? kernels.q8_manhattan
                                                                  : kernels.q8_squared;
+    // Each finished tile also yields its blocks' max Ŝ while the slice is
+    // still in L1: the pool selection below prunes whole blocks by it.
+    std::vector<double>& block_max = scratch.block_max;
+    block_max.resize(blocks);
     constexpr std::size_t kTileBlocks = 8;  // 256 rows → a 2 KB acc slice
     for (std::size_t b0 = 0; b0 < blocks; b0 += kTileBlocks) {
         const std::size_t r0 = b0 * TypePlan::kQuantBlock;
@@ -193,6 +271,7 @@ bool two_phase_score(const TypePlan& plan, std::span<const RequestAttribute> con
                    plan.q8_scale.data() + c * blocks + b0, len, constraints[i].value,
                    plan.divisor[c], scratch.norm_weights[i]);
         }
+        kernels.q8_block_max(block_max.data() + b0, approx.data() + r0, len);
     }
     const double lipschitz = options.metric == LocalMetric::manhattan ? 1.0 : 2.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -238,35 +317,12 @@ bool two_phase_score(const TypePlan& plan, std::span<const RequestAttribute> con
     // trivially accepts once k reaches rows (exact scores are ≥ 0).
     std::size_t cap = std::min(rows, std::max<std::size_t>(8 * k0, 64));
     while (true) {
-        // One bounded-heap pass selects the top `cap` rows by (Ŝ desc, row
-        // asc) — any deterministic order works, the safety check covers
-        // every rejected row — tracking the most optimistic row left
-        // outside the pool: max over outside x of Ŝ(x) + E(x).
-        double outside_bound = -1.0;  // bounds are ≥ 0
-        survivors.clear();
-        for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(cap); ++r) {
-            survivors.push_back(r);
-        }
-        std::make_heap(survivors.begin(), survivors.end(), better);
-        // Hot loop: one register compare per row in the common (reject)
-        // case.  Every candidate row r arrives after all pool rows, so on
-        // an approx tie `better` resolves to the incumbent (smaller row)
-        // and the strict > against the cached heap-front value is exactly
-        // the `better(r, front)` test without the indirect load.
-        double front_val = approx[survivors.front()];
-        for (std::uint32_t r = static_cast<std::uint32_t>(cap);
-             r < static_cast<std::uint32_t>(rows); ++r) {
-            if (approx[r] > front_val) {
-                std::pop_heap(survivors.begin(), survivors.end(), better);
-                outside_bound = std::max(outside_bound, row_bound(survivors.back()));
-                survivors.back() = r;
-                std::push_heap(survivors.begin(), survivors.end(), better);
-                front_val = approx[survivors.front()];
-            } else {
-                outside_bound = std::max(outside_bound, row_bound(r));
-            }
-        }
-        std::sort(survivors.begin(), survivors.end(), better);
+        // The top `cap` rows by (Ŝ desc, row asc) — any deterministic order
+        // works, the safety check covers every rejected row — and the most
+        // optimistic row left outside the pool: max over outside x of
+        // Ŝ(x) + E(x).  scratch.locals is free until the safety check.
+        const double outside_bound = select_pool(approx, block_max, block_err, rows, cap,
+                                                 better, scratch.locals, survivors);
 
         // suffix_bound[j] = most optimistic row in pool[j..cap) or outside:
         // the rejected-side bound when the rescored prefix has length j.

@@ -118,6 +118,7 @@ struct RetrievalScratch {
 
     std::vector<double> approx;            ///< phase-1 scores (Q8 tier)
     std::vector<double> block_err;         ///< per-block score error bound
+    std::vector<double> block_max;         ///< per-block max phase-1 score
     std::vector<std::uint32_t> survivors;  ///< phase-2 exact-rescore rows
     std::vector<double> suffix_bound;      ///< pool-tail rejected-row bounds
     TwoPhaseStats two_phase;               ///< telemetry of the last call

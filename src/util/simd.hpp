@@ -7,6 +7,10 @@
 // header supplies the smallest vector vocabulary those loops need, with
 // one implementation block per instruction set:
 //
+//   * AVX-512 — 8 x f64 lanes (x86, compiled when __AVX512F__, DQ, BW
+//             and VL are all defined; core/kernels_avx512.cpp force-enables
+//             them per-TU).  Lane masks live in __mmask8 registers and
+//             masking is a zeroing masked move;
 //   * AVX2  — 4 x f64 lanes (x86, compiled when __AVX2__ is defined;
 //             core/kernels_avx2.cpp force-enables it per-TU so a baseline
 //             x86-64 build can still runtime-dispatch onto it);
@@ -16,13 +20,18 @@
 //             QFA_SIMD=off escape hatch: configure with -DQFA_SIMD=OFF
 //             and every table in core/kernels.hpp collapses to this).
 //
+// Lane masks (f64_lt, f64_lanemask_*) are all-ones / all-zeros f64v
+// lanes, except on AVX-512, where they are __mmask8 registers (f64m).
+// Either way f64_and(v, mask) keeps v's lanes where the mask is set and
+// zeroes the rest, which is exact at every width.
+//
 // Bit-identity contract.  Every operation here is a correctly rounded
-// IEEE-754 primitive (add/sub/mul/div), an exact integer/bit operation, or
-// an exact conversion (u16 -> f64 and u8 -> f64 are lossless).  Nothing
-// fuses, nothing
-// re-associates, nothing approximates (no rcpps, no FMA): a kernel built
-// from these wrappers performs the same arithmetic in the same per-lane
-// order at any width, so SIMD results are bit-identical to the scalar
+// IEEE-754 primitive (add/sub/mul/div), an exact integer/bit operation, an
+// exact conversion (u16 -> f64 and u8 -> f64 are lossless) or an exact max
+// (f64_max / f64_hmax, on inputs free of NaN and −0.0).  Nothing fuses,
+// nothing re-associates, nothing approximates (no rcpps, no FMA): a kernel
+// built from these wrappers performs the same arithmetic in the same
+// per-lane order at any width, so SIMD results are bit-identical to the scalar
 // fallback — the property the retrieval tests and the self-checking
 // benches pin.  (CMake adds -ffp-contract=off project-wide so the *scalar*
 // reference cannot silently fuse under -march=native either.)
@@ -36,8 +45,9 @@
 //
 // ODR note: the whole API lives in an inline namespace named after the
 // selected ISA, so translation units compiled with different target flags
-// (core/kernels.cpp vs core/kernels_avx2.cpp vs core/kernels_scalar.cpp)
-// instantiate disjoint symbols and can coexist in one binary.
+// (core/kernels.cpp vs core/kernels_avx2.cpp vs core/kernels_avx512.cpp vs
+// core/kernels_scalar.cpp) instantiate disjoint symbols and can coexist in
+// one binary.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +56,21 @@
 
 #if defined(QFA_SIMD_DISABLED) || defined(QFA_SIMD_FORCE_SCALAR)
 #define QFA_SIMD_ISA_SCALAR 1
+#elif defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__) && \
+    defined(__AVX512VL__)
+#define QFA_SIMD_ISA_AVX512 1
+// GCC 12's AVX-512 headers seed the pass-through operand of each widening
+// conversion from a deliberately self-initialized "undefined" vector, which
+// -Wmaybe-uninitialized reports at every inlined call (GCC bug 105593,
+// fixed in GCC 13).  The operand is fully overwritten.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#else
+#include <immintrin.h>
+#endif
 #elif defined(__AVX2__)
 #define QFA_SIMD_ISA_AVX2 1
 #include <immintrin.h>
@@ -65,12 +90,74 @@ namespace qfa::simd {
 
 /// Row padding unit of the compiled plan layout (see TypePlan::kRowAlign).
 /// Deliberately ISA-independent: 8 is a whole number of vectors at every
-/// supported width (8 = 2 x 4 f64 on AVX2, 4 x 2 on SSE2/NEON, one u16x8
-/// Q15 block), so the padded geometry — and therefore plan bytes, COW
-/// sharing and stats — is identical across builds and escape hatches.
+/// supported width (8 = one 8 x f64 vector on AVX-512, 2 x 4 f64 on AVX2,
+/// 4 x 2 on SSE2/NEON, one u16x8 Q15 block), so the padded geometry — and
+/// therefore plan bytes, COW sharing and stats — is identical across
+/// builds and escape hatches.
 inline constexpr std::size_t kRowBlock = 8;
 
-#if defined(QFA_SIMD_ISA_AVX2)
+#if defined(QFA_SIMD_ISA_AVX512)
+
+inline namespace simd_avx512 {
+
+inline constexpr const char* kIsaName = "avx512";
+inline constexpr std::size_t kF64Lanes = 8;
+
+using f64v = __m512d;
+using f64m = __mmask8;
+
+inline f64v f64_broadcast(double v) noexcept { return _mm512_set1_pd(v); }
+inline f64v f64_loadu(const double* p) noexcept { return _mm512_loadu_pd(p); }
+inline void f64_storeu(double* p, f64v v) noexcept { _mm512_storeu_pd(p, v); }
+inline f64v f64_add(f64v a, f64v b) noexcept { return _mm512_add_pd(a, b); }
+inline f64v f64_sub(f64v a, f64v b) noexcept { return _mm512_sub_pd(a, b); }
+inline f64v f64_mul(f64v a, f64v b) noexcept { return _mm512_mul_pd(a, b); }
+inline f64v f64_div(f64v a, f64v b) noexcept { return _mm512_div_pd(a, b); }
+
+/// Keeps v's lanes where m is set, +0.0 elsewhere (zeroing masked move).
+inline f64v f64_and(f64v v, f64m m) noexcept { return _mm512_maskz_mov_pd(m, v); }
+
+/// |v| by clearing the sign bit (exact, no rounding).
+inline f64v f64_abs(f64v v) noexcept { return _mm512_abs_pd(v); }
+
+inline f64m f64_lt(f64v a, f64v b) noexcept {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
+}
+
+/// Lanewise a > b ? a : b, and the largest lane (exact for non-NaN input).
+inline f64v f64_max(f64v a, f64v b) noexcept { return _mm512_max_pd(a, b); }
+inline double f64_hmax(f64v v) noexcept {
+    const __m256d m = _mm256_max_pd(_mm512_castpd512_pd256(v), _mm512_extractf64x4_pd(v, 1));
+    const __m128d h = _mm_max_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd(m, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(h, _mm_unpackhi_pd(h, h)));
+}
+
+/// Widens kF64Lanes u16 payload values to f64 lanes (exact conversion).
+inline f64v f64_from_u16(const std::uint16_t* p) noexcept {
+    const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    return _mm512_cvtepi64_pd(_mm512_cvtepu16_epi64(raw));
+}
+
+/// Presence words (0xFFFF present / 0 absent) to a lane mask.
+inline f64m f64_lanemask_u16(const std::uint16_t* p) noexcept {
+    const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    return _mm_test_epi16_mask(raw, raw);
+}
+
+/// Widens kF64Lanes Q8 codes (u8) to f64 lanes (exact conversion).
+inline f64v f64_from_u8(const std::uint8_t* p) noexcept {
+    const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+    return _mm512_cvtepi64_pd(_mm512_cvtepu8_epi64(raw));
+}
+
+/// Q8 presence masks: code 0 encodes "absent" in the quantized tier.  The
+/// load leaves bytes 8..15 zero, so the 16-lane test's high half is 0.
+inline f64m f64_lanemask_u8(const std::uint8_t* p) noexcept {
+    const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+    return static_cast<f64m>(_mm_test_epi8_mask(raw, raw));
+}
+
+#elif defined(QFA_SIMD_ISA_AVX2)
 
 inline namespace simd_avx2 {
 
@@ -96,6 +183,13 @@ inline f64v f64_abs(f64v v) noexcept {
 /// Lanewise a < b as an all-ones / all-zeros f64 bitmask.
 inline f64v f64_lt(f64v a, f64v b) noexcept {
     return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
+}
+
+/// Lanewise a > b ? a : b, and the largest lane (exact for non-NaN input).
+inline f64v f64_max(f64v a, f64v b) noexcept { return _mm256_max_pd(a, b); }
+inline double f64_hmax(f64v v) noexcept {
+    const __m128d h = _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(h, _mm_unpackhi_pd(h, h)));
 }
 
 /// Widens kF64Lanes u16 payload values to f64 lanes (exact conversion).
@@ -153,6 +247,12 @@ inline f64v f64_abs(f64v v) noexcept {
 }
 
 inline f64v f64_lt(f64v a, f64v b) noexcept { return _mm_cmplt_pd(a, b); }
+
+/// Lanewise a > b ? a : b, and the larger lane (exact for non-NaN input).
+inline f64v f64_max(f64v a, f64v b) noexcept { return _mm_max_pd(a, b); }
+inline double f64_hmax(f64v v) noexcept {
+    return _mm_cvtsd_f64(_mm_max_sd(v, _mm_unpackhi_pd(v, v)));
+}
 
 inline f64v f64_from_u16(const std::uint16_t* p) noexcept {
     // Two u16s -> zero-extended u32 lanes -> exact f64 conversion (the
@@ -212,6 +312,10 @@ inline f64v f64_and(f64v a, f64v b) noexcept {
 inline f64v f64_lt(f64v a, f64v b) noexcept {
     return vreinterpretq_f64_u64(vcltq_f64(a, b));
 }
+
+/// Lanewise max and the larger lane (exact for non-NaN input).
+inline f64v f64_max(f64v a, f64v b) noexcept { return vmaxq_f64(a, b); }
+inline double f64_hmax(f64v v) noexcept { return vmaxvq_f64(v); }
 
 inline f64v f64_from_u16(const std::uint16_t* p) noexcept {
     const std::uint64_t wide[2] = {p[0], p[1]};
@@ -278,6 +382,9 @@ inline f64v f64_lt(f64v a, f64v b) noexcept {
     return detail::bits_to_f64(a < b ? ~std::uint64_t{0} : 0);
 }
 
+inline f64v f64_max(f64v a, f64v b) noexcept { return a > b ? a : b; }
+inline double f64_hmax(f64v v) noexcept { return v; }
+
 inline f64v f64_from_u16(const std::uint16_t* p) noexcept {
     return static_cast<double>(*p);
 }
@@ -304,8 +411,10 @@ inline f64v f64_lanemask_u8(const std::uint8_t* p) noexcept {
 // acc[r] += u64(s_r) * weight — the exact integer arithmetic of
 // fx::local_similarity_q15 / SimAccumulator::add_product, lane-parallel.
 
-#if defined(QFA_SIMD_ISA_AVX2)
+#if defined(QFA_SIMD_ISA_AVX512) || defined(QFA_SIMD_ISA_AVX2)
 
+// AVX-512 reuses the AVX2 block: kRowBlock = 8 rows already fill one
+// 256-bit register at u32 granularity.
 inline constexpr std::size_t kQ15Lanes = 8;
 
 inline void q15_block(std::uint64_t* acc, const std::uint16_t* vals,

@@ -403,4 +403,248 @@ TEST(QuantTier, StatsReportPerTierBytes) {
     EXPECT_DOUBLE_EQ(stats.q8_bytes_per_row(), 1.25);
 }
 
+// ---------------------------------------------------------------------------
+// 7. Pool selection: the phase-1 candidate pool (its set, its order and the
+//    most optimistic row left outside it) decides how many rows are rescored
+//    and how often K widens.  These goldens were recorded from a streaming
+//    bounded-heap selection that ranks every row; the block-threshold
+//    selection must reproduce them exactly, not merely return identical
+//    results.  The edge cases aim at the places a block-level threshold can
+//    go wrong: every block max equal to the threshold, a tie at the
+//    threshold across two blocks, a best row hidden below the threshold, a
+//    partial last Q8 block with padded rows, fewer blocks than the pool,
+//    and the ×8 pool regrow.
+
+struct PoolGolden {
+    std::size_t rescored;
+    std::size_t widen_rounds;
+    std::size_t final_k;
+};
+
+void expect_pool_golden(const Retriever& retriever, const Request& request,
+                        const RetrievalOptions& options, const PoolGolden& golden,
+                        const std::string& context) {
+    RetrievalScratch scratch;
+    scratch.two_phase_min_rows = 1;
+    const RetrievalResult got = retriever.retrieve_compiled(request, options, &scratch);
+    ASSERT_TRUE(scratch.two_phase.engaged) << context;
+    ASSERT_TRUE(identical_results(exact_scan(retriever, request, options), got)) << context;
+    EXPECT_EQ(scratch.two_phase.rescored, golden.rescored) << context;
+    EXPECT_EQ(scratch.two_phase.widen_rounds, golden.widen_rounds) << context;
+    EXPECT_EQ(scratch.two_phase.final_k, golden.final_k) << context;
+}
+
+TEST(QuantTierPool, SeededRequestsOverALargePlanMatchGoldenStats) {
+    util::Rng rng(0x9001DE);
+    wl::CatalogConfig config;
+    config.function_types = 1;
+    config.impls_per_type = 5000;  // 157 Q8 blocks, the last one partial
+    config.attrs_per_impl = 6;
+    config.attr_dropout = 0.2;
+    const auto [tree, bounds] = wl::generate_catalog_with_bounds(config, rng);
+    const CompiledCaseBase compiled(tree, bounds);
+    const Retriever retriever(tree, bounds, compiled);
+    const auto batch = wl::generate_request_batch(tree, bounds, 16, rng);
+    ASSERT_EQ(batch.size(), 16u);
+
+    const PoolGolden golden[16] = {
+        {8, 1, 8},     {64, 2, 64},   {64, 1, 64},  {8, 0, 8},
+        {16, 2, 16},   {384, 5, 256}, {32, 0, 32},  {320, 6, 256},
+        {320, 7, 256}, {128, 3, 128}, {32, 0, 32},  {576, 7, 512},
+        {4, 0, 4},     {16, 0, 16},   {256, 3, 256}, {32, 2, 32},
+    };
+    const std::size_t n_bests[] = {1, 4, 8, 2};
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+        RetrievalOptions options;
+        options.n_best = n_bests[j % 4];
+        options.metric = j % 3 == 2 ? LocalMetric::squared : LocalMetric::manhattan;
+        expect_pool_golden(retriever, batch[j].request, options, golden[j],
+                           "request " + std::to_string(j));
+    }
+}
+
+TEST(QuantTierPool, EveryRowTiedPutsEveryBlockMaxAtTheThreshold) {
+    constexpr std::size_t kRows = 4100;
+    std::vector<std::vector<Attribute>> impls(kRows, {Attribute{AttrId{1}, 777}});
+    impls[0] = {Attribute{AttrId{1}, 0}};  // a nonzero dmax, so scores are not all 1
+    const CaseBase tree = single_type(std::move(impls));
+    const BoundsTable bounds = BoundsTable::from_case_base(tree);
+    const CompiledCaseBase compiled(tree, bounds);
+    const Retriever retriever(tree, bounds, compiled);
+
+    const Request request(TypeId{1}, {RequestAttribute{AttrId{1}, 700, 1.0}});
+    RetrievalOptions options;
+    options.n_best = 3;
+    expect_pool_golden(retriever, request, options, {4964, 11, 4100}, "tied");
+}
+
+TEST(QuantTierPool, TieAtTheThresholdAcrossTwoBlocksKeepsTheLowerRow) {
+    // 128 blocks, each all 60000 (scores 0 for a request at 0) except one
+    // peak row.  Peaks are 300 raw apart, wider than twice the ≈ 118-raw
+    // quantization error, so the phase-1 ranking follows them.  Blocks 10
+    // and 90 are identical (same peak value at the same offset, hence the
+    // same scale and codes and bitwise-equal phase-1 scores) and hold the
+    // 64th-best peak: with n_best = 1 the pool is 64 rows, so exactly one
+    // of the two tied peaks fits and it must be block 10's.
+    constexpr std::size_t kBlocks = 128;
+    std::vector<std::vector<Attribute>> impls(kBlocks * kBlock,
+                                              {Attribute{AttrId{1}, 60000}});
+    std::size_t rank = 0;
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+        std::size_t offset = (b * 7) % kBlock;
+        std::size_t peak_rank;
+        if (b == 10 || b == 90) {
+            offset = 5;
+            peak_rank = 63;
+        } else {
+            peak_rank = rank < 63 ? rank : rank + 1;
+            ++rank;
+        }
+        impls[b * kBlock + offset] = {
+            Attribute{AttrId{1}, static_cast<AttrValue>(1000 + 300 * peak_rank)}};
+    }
+    const CaseBase tree = single_type(std::move(impls));
+    const BoundsTable bounds = BoundsTable::from_case_base(tree);
+    const CompiledCaseBase compiled(tree, bounds);
+    const Retriever retriever(tree, bounds, compiled);
+
+    const Request request(TypeId{1}, {RequestAttribute{AttrId{1}, 0, 1.0}});
+    for (const LocalMetric metric : {LocalMetric::manhattan, LocalMetric::squared}) {
+        RetrievalOptions options;
+        options.metric = metric;
+        expect_pool_golden(retriever, request, options,
+                           metric == LocalMetric::manhattan ? PoolGolden{4, 0, 4}
+                                                          : PoolGolden{16, 2, 16},
+                           "near-tie metric " + std::to_string(int(metric)));
+    }
+}
+
+TEST(QuantTierPool, HiddenBestRowBelowTheThresholdStillBoundsTheCut) {
+    // Blocks 0..63 each hold one good row (value 2016 + b) over 31 rows of
+    // 2500, finely quantized.  Blocks 64..127 hold 30000s plus one 60000,
+    // which sets a coarse 236-raw step.  Block 100 also hides ImplId 3208 at
+    // value 2015: the exact best, but it quantizes up to 2126, so its
+    // phase-1 score sits below every good block's max — below τ.  Only its
+    // ≈ 111-raw error bound, folded into the outside bound, keeps the cut
+    // from settling on the good rows.  With `with_y`, block 100 also holds
+    // ImplId 3221 at 1900 (the new best), which lifts block 100 above τ: the
+    // hidden row is then a below-τ row of a candidate block.
+    for (const bool with_y : {false, true}) {
+        std::vector<std::vector<Attribute>> impls(128 * kBlock);
+        for (std::size_t i = 0; i < impls.size(); ++i) {
+            const std::size_t b = i / kBlock;
+            const std::size_t offset = i % kBlock;
+            std::size_t value = b < 64 ? (offset == 0 ? 2016 + b : 2500)
+                                       : (offset == 0 ? 60000 : 30000);
+            if (b == 100 && offset == 7) {
+                value = 2015;
+            }
+            if (with_y && b == 100 && offset == 20) {
+                value = 1900;
+            }
+            impls[i] = {Attribute{AttrId{1}, static_cast<AttrValue>(value)}};
+        }
+        const CaseBase tree = single_type(std::move(impls));
+        const BoundsTable bounds = BoundsTable::from_case_base(tree);
+        const CompiledCaseBase compiled(tree, bounds);
+        const Retriever retriever(tree, bounds, compiled);
+
+        const Request request(TypeId{1}, {RequestAttribute{AttrId{1}, 0, 1.0}});
+        RetrievalOptions options;
+        options.n_best = 2;
+        const std::string context = with_y ? "hidden, candidate block" : "hidden, pruned block";
+        expect_pool_golden(retriever, request, options, {192, 5, 128}, context);
+        const RetrievalResult got = exact_scan(retriever, request, options);
+        ASSERT_EQ(got.matches.size(), 2u);
+        EXPECT_EQ(got.matches[0].impl, ImplId{with_y ? std::uint16_t{3221} : std::uint16_t{3208}});
+        EXPECT_EQ(got.matches[1].impl, ImplId{with_y ? std::uint16_t{3208} : std::uint16_t{1}});
+        if (!with_y) {
+            options.n_best = 1;
+            expect_pool_golden(retriever, request, options, {192, 6, 128}, context + " n_best 1");
+        }
+    }
+}
+
+TEST(QuantTierPool, PartialLastBlockNeverSelectsPaddedRows) {
+    // 4107 rows: the last Q8 block holds 11 real rows and 5 padded slots
+    // (row_stride 4112).  Those 11 rows are the best matches; most other
+    // rows lack the attribute and score exactly 0, like the padding.  With
+    // n_best = 30 the cut lands among the zeros, so the pool regrows until
+    // it covers every real row — and must never take a padded one.
+    constexpr std::size_t kRows = 4107;
+    std::vector<std::vector<Attribute>> impls(kRows, {Attribute{AttrId{2}, 5}});
+    for (std::size_t r = 0; r < kRows; r += 200) {
+        impls[r] = {Attribute{AttrId{1}, static_cast<AttrValue>(20000 + r)}};
+    }
+    for (std::size_t r = 4096; r < kRows; ++r) {
+        impls[r] = {Attribute{AttrId{1}, static_cast<AttrValue>(1000 + r)}};
+    }
+    const CaseBase tree = single_type(std::move(impls));
+    const BoundsTable bounds = BoundsTable::from_case_base(tree);
+    const CompiledCaseBase compiled(tree, bounds);
+    ASSERT_EQ(compiled.plans().front()->row_stride, 4112u);
+    const Retriever retriever(tree, bounds, compiled);
+
+    const Request request(TypeId{1}, {RequestAttribute{AttrId{1}, 0, 1.0}});
+    RetrievalOptions options;
+    options.n_best = 30;
+    expect_pool_golden(retriever, request, options, {5067, 7, 4107}, "partial");
+    options.n_best = 5;  // the tail block alone decides the cut
+    expect_pool_golden(retriever, request, options, {20, 0, 20}, "partial n_best 5");
+}
+
+TEST(QuantTierPool, FewerBlocksThanThePoolTakesEveryRowAsCandidate) {
+    // 200 rows = 7 Q8 blocks (the last one partial) against a pool of at
+    // least 64 rows: no block threshold applies at all.
+    util::Rng rng(0xFE3B);
+    wl::CatalogConfig config;
+    config.function_types = 1;
+    config.impls_per_type = 200;
+    config.attrs_per_impl = 5;
+    config.attr_dropout = 0.3;
+    const auto [tree, bounds] = wl::generate_catalog_with_bounds(config, rng);
+    const CompiledCaseBase compiled(tree, bounds);
+    ASSERT_LT(compiled.plans().front()->q8_blocks(), 64u);
+    const Retriever retriever(tree, bounds, compiled);
+    const auto batch = wl::generate_request_batch(tree, bounds, 4, rng);
+    ASSERT_EQ(batch.size(), 4u);
+
+    const PoolGolden golden[4] = {
+        {192, 6, 128}, {64, 3, 64}, {12, 0, 12}, {32, 1, 32},
+    };
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+        RetrievalOptions options;
+        options.n_best = 1 + j;
+        expect_pool_golden(retriever, batch[j].request, options, golden[j],
+                           "few-blocks request " + std::to_string(j));
+    }
+}
+
+TEST(QuantTierPool, NearTiesRegrowThePoolByEight) {
+    // Even rows hold 30000 + i/2 (exact-score gaps of one raw unit), odd
+    // rows 60000, so every block spans ≈ 30000 raw and carries a
+    // quantization error of up to ≈ 118 raw.  Hundreds of even rows are then
+    // indistinguishable in phase 1 and the initial 64-row pool (n_best = 2)
+    // cannot prove the cut: the pool must regrow ×8.  At 512 blocks the
+    // regrown 512-row pool equals the block count, so τ = −∞ and every row
+    // is a candidate.
+    constexpr std::size_t kRows = 16384;
+    std::vector<std::vector<Attribute>> impls(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+        const std::size_t value = i % 2 == 0 ? 30000 + i / 2 : 60000;
+        impls[i] = {Attribute{AttrId{1}, static_cast<AttrValue>(value)}};
+    }
+    const CaseBase tree = single_type(std::move(impls));
+    const BoundsTable bounds = BoundsTable::from_case_base(tree);
+    const CompiledCaseBase compiled(tree, bounds);
+    const Retriever retriever(tree, bounds, compiled);
+
+    const Request request(TypeId{1}, {RequestAttribute{AttrId{1}, 30000, 1.0}});
+    RetrievalOptions options;
+    options.n_best = 2;
+    // Four rounds exhaust the 64-row pool; after the regrow the 64-row prefix
+    // is rescored again and one more doubling proves the cut at 128.
+    expect_pool_golden(retriever, request, options, {192, 5, 128}, "regrow");
+}
+
 }  // namespace

@@ -6,13 +6,15 @@
 // shapes that can go wrong are exactly the ones straddling that alignment:
 // 0, 1, kRowAlign-1, kRowAlign and kRowAlign+1 implementations.  For each
 // shape and every kernel table compiled into this binary (scalar, the
-// baseline ISA, the runtime-dispatched AVX2 table) the double-precision
-// manhattan and squared accumulators and the Q15 accumulators must be
+// baseline ISA, the runtime-dispatched AVX2 and AVX-512 tables) the
+// double-precision manhattan and squared accumulators, their Q8 phase-1
+// counterparts, the per-block maxima and the Q15 accumulators must be
 // *bitwise* equal to the scalar table's — including after patched()
 // splices a row in and the stride crosses an alignment boundary — and the
 // end-to-end fast paths must stay bit-identical to the tree reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -158,6 +160,31 @@ TEST(SimdKernelTest, ActiveTableIsScalarWhenDisabled) {
 #if defined(QFA_SIMD_DISABLED)
     EXPECT_STREQ(kern::active_kernels().isa, "scalar");
     EXPECT_EQ(kern::avx2_kernels(), nullptr);
+    EXPECT_EQ(kern::avx512_kernels(), nullptr);
+#endif
+}
+
+TEST(SimdKernelTest, DispatchPrefersTheWidestTableTheCpuRuns) {
+    // Every listed table is distinct, and the active one is among them.
+    const auto tables = kern::available_kernels();
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        ASSERT_NE(tables[i], nullptr);
+        for (std::size_t j = i + 1; j < tables.size(); ++j) {
+            EXPECT_NE(tables[i], tables[j]);
+        }
+    }
+    EXPECT_NE(std::find(tables.begin(), tables.end(), &kern::active_kernels()),
+              tables.end());
+#if !defined(QFA_SIMD_DISABLED) && (defined(__x86_64__) || defined(__i386__))
+    const bool cpu_avx512 =
+        __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl");
+    if (kern::avx512_kernels() != nullptr && cpu_avx512) {
+        EXPECT_EQ(&kern::active_kernels(), kern::avx512_kernels());
+        EXPECT_STREQ(kern::active_kernels().isa, "avx512");
+    } else if (kern::avx2_kernels() != nullptr && __builtin_cpu_supports("avx2")) {
+        EXPECT_EQ(&kern::active_kernels(), kern::avx2_kernels());
+    }
 #endif
 }
 
@@ -169,6 +196,51 @@ TEST(SimdKernelTest, PaddedTailEdgeCases) {
         ASSERT_NE(plan, nullptr);
         ASSERT_EQ(plan->impl_count, impls);
         expect_tables_identical(*plan, "impls=" + std::to_string(impls));
+    }
+}
+
+TEST(SimdKernelTest, Q8BlockEdgeShapes) {
+    // 8 rows: one AVX-512 vector, shorter than a Q8 block.  40 rows: a full
+    // Q8 block plus a partial last one, so the per-block scale changes
+    // mid-column.
+    for (const std::size_t impls : {kAlign, kern::kQ8Block + kAlign}) {
+        const Shape shape(impls);
+        const TypePlan* plan = shape.compiled.find(TypeId{1});
+        ASSERT_NE(plan, nullptr);
+        ASSERT_TRUE(plan->has_q8());
+        expect_tables_identical(*plan, "q8 impls=" + std::to_string(impls));
+    }
+}
+
+TEST(SimdKernelTest, Q8BlockMaxIsIdenticalAcrossTables) {
+    // Phase-1 accumulators: non-negative, with exact zeros (absent rows and
+    // padding) and repeated values, at whole and partial block counts.
+    constexpr std::size_t kBlock = kern::kQ8Block;
+    util::Rng rng(0x5E6A);
+    for (const std::size_t padded_rows : {std::size_t{0}, kAlign, 2 * kAlign, 5 * kAlign,
+                                          std::size_t{256}, std::size_t{264}}) {
+        std::vector<double> acc(padded_rows);
+        for (double& a : acc) {
+            const std::int64_t pick = rng.uniform_int(0, 9);
+            a = pick == 0   ? 0.0
+                : pick == 1 ? 0.5
+                            : static_cast<double>(rng.uniform_int(0, 1 << 20)) / 1048576.0;
+        }
+        const std::size_t count = (padded_rows + kBlock - 1) / kBlock;
+        std::vector<double> expect(count);
+        for (std::size_t b = 0; b < count; ++b) {
+            const std::size_t end = std::min(padded_rows, (b + 1) * kBlock);
+            expect[b] = *std::max_element(acc.begin() + b * kBlock, acc.begin() + end);
+        }
+        for (const kern::KernelTable* table : kern::available_kernels()) {
+            std::vector<double> got(count, -1.0);
+            table->q8_block_max(got.data(), acc.data(), padded_rows);
+            for (std::size_t b = 0; b < count; ++b) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(expect[b]),
+                          std::bit_cast<std::uint64_t>(got[b]))
+                    << table->isa << " rows " << padded_rows << " block " << b;
+            }
+        }
     }
 }
 
